@@ -9,18 +9,11 @@ The naive baseline is what the code did before the search engine
 existed: every helper re-ranks the whole placement set with one
 predictor call per placement (kept verbatim as
 ``rank_placements_serial``).  The engine path evaluates each symmetry
-class once and answers everything else from its prediction cache; on
-multi-core hosts ``--workers N`` additionally fans misses out over a
-process pool.  Golden equivalence (identical best placement, times
-within 1e-12) is asserted on every run.
+class once and answers everything else from its prediction cache.
+Golden equivalence (identical best placement, times within 1e-12) is
+asserted on every run.
 
-A second section measures the **warm-start session**: a greedy
-hill-climb on X2-4 at fixed-point tolerance 1e-13 (the regime warm
-starts target), run cold and warm over MD and Art, comparing total
-fixed-point iterations.  ``--assert-warm-savings`` turns the measured
-saving into a hard gate (>= 30%, the ISSUE's acceptance bar) for CI.
-
-A third section (``--surrogate``) measures the **surrogate-guided
+A second section (``--surrogate``) measures the **surrogate-guided
 search**: a ridge surrogate trained on three catalog machines ranks
 each search space in one vectorised pass and the engine exact-verifies
 only the adaptive top-k.  Exact exhaustive search over the same
@@ -34,7 +27,6 @@ Usage::
 
     python benchmarks/bench_search.py            # full: X2-4, 3 workloads
     python benchmarks/bench_search.py --quick    # CI smoke: TESTBOX, 1 workload
-    python benchmarks/bench_search.py --warm-only --assert-warm-savings
     python benchmarks/bench_search.py --surrogate --json BENCH_surrogate.json
 """
 
@@ -58,21 +50,11 @@ from repro.core.sweep import packed_placement, spread_placement
 from repro.core.workload_desc import WorkloadDescriptionGenerator
 from repro.hardware import machines
 from repro.search import SearchEngine
-from repro.search.strategies import GreedyHillClimbStrategy
 from repro.sim.noise import NO_NOISE
 from repro.workloads import catalog
 
 TOLERANCES = (0.02, 0.05, 0.10)
 GOLDEN_TOL = 1e-12
-
-#: Warm-session configuration.  X2-4 × (MD, Art) at 1e-13: MD is the
-#: paper's headline workload, Art the memory-contended one where the
-#: settle is long and warm seeds pay off; at looser tolerances cold
-#: converges in a handful of iterations and there is nothing to save.
-WARM_MACHINE = "X2-4"
-WARM_WORKLOADS = ("MD", "Art")
-WARM_TOLERANCE = 1e-13
-WARM_SAVINGS_TARGET = 0.30
 
 #: Surrogate-session configuration.  The smoke space is a 6000-placement
 #: deterministic sample of the 4-socket X2-4 (big enough that the exact
@@ -116,13 +98,9 @@ def naive_session(predictor, workload, placements):
     return best.placement, best.predicted_time_s, peak.placement.n_threads
 
 
-def engine_session(predictor, workload, placements, workers: Optional[int]):
+def engine_session(predictor, workload, placements):
     """The same session through one (fresh) search engine."""
-    with SearchEngine(
-        predictor,
-        max_workers=workers,
-        executor="process" if workers and workers > 1 else "thread",
-    ) as engine:
+    with SearchEngine(predictor) as engine:
         best, best_pred = best_placement(predictor, workload, placements, engine=engine)
         for tolerance in TOLERANCES:
             rightsize(predictor, workload, placements, tolerance, engine=engine)
@@ -131,8 +109,7 @@ def engine_session(predictor, workload, placements, workers: Optional[int]):
     return best, best_pred.predicted_time_s, peak, stats
 
 
-def run(machine_name: str, workload_names: Sequence[str], repeats: int,
-        workers: Optional[int]) -> float:
+def run(machine_name: str, workload_names: Sequence[str], repeats: int) -> float:
     spec = machines.get(machine_name)
     md = generate_machine_description(spec, noise=NO_NOISE)
     predictor = PandiaPredictor(md)
@@ -155,9 +132,7 @@ def run(machine_name: str, workload_names: Sequence[str], repeats: int,
         engine_best = float("inf")
         last = None
         for _ in range(repeats):
-            elapsed, last = _timed_r(
-                engine_session, predictor, workload, placements, workers
-            )
+            elapsed, last = _timed_r(engine_session, predictor, workload, placements)
             engine_best = min(engine_best, elapsed)
         best_pl, best_time, peak, stats = last
 
@@ -179,65 +154,6 @@ def run(machine_name: str, workload_names: Sequence[str], repeats: int,
             f"dedup {stats.dedup_ratio:.0%})"
         )
     return worst_speedup
-
-
-def warm_run() -> Optional[dict]:
-    """Hill-climb sessions cold vs warm; returns the measurement record
-    or ``None`` when the warm/cold sessions disagree (a golden failure)."""
-    spec = machines.get(WARM_MACHINE)
-    md = generate_machine_description(spec, noise=NO_NOISE)
-    generator = WorkloadDescriptionGenerator(spec, md, noise=NO_NOISE)
-    print(
-        f"warm-start session: {WARM_MACHINE}, hill-climb at "
-        f"tolerance {WARM_TOLERANCE:g}, workloads {', '.join(WARM_WORKLOADS)}"
-    )
-    record = {"machine": WARM_MACHINE, "tolerance": WARM_TOLERANCE,
-              "workloads": {}}
-    totals = {False: 0, True: 0}
-    for name in WARM_WORKLOADS:
-        workload = generator.generate(catalog.get(name))
-        iters, elapsed, best = {}, {}, {}
-        for warm in (False, True):
-            predictor = PandiaPredictor(md, tolerance=WARM_TOLERANCE)
-            with SearchEngine(predictor, warm_start=warm) as engine:
-                t0 = time.perf_counter()
-                result = engine.search(workload, GreedyHillClimbStrategy())
-                elapsed[warm] = time.perf_counter() - t0
-                iters[warm] = engine.stats.fixed_point_iterations
-                best[warm] = result.best
-            totals[warm] += iters[warm]
-        if (
-            best[True].placement.canonical_key()
-            != best[False].placement.canonical_key()
-            or abs(
-                best[True].prediction.predicted_time_s
-                - best[False].prediction.predicted_time_s
-            )
-            > GOLDEN_TOL
-        ):
-            print(f"ERROR: {name}: warm session diverged from cold")
-            return None
-        saving = 1.0 - iters[True] / iters[False]
-        record["workloads"][name] = {
-            "cold_iterations": iters[False],
-            "warm_iterations": iters[True],
-            "saving": saving,
-        }
-        print(
-            f"  {name:6s} cold {iters[False]:5d} iters "
-            f"({elapsed[False] * 1e3:7.1f} ms)   "
-            f"warm {iters[True]:5d} iters ({elapsed[True] * 1e3:7.1f} ms)   "
-            f"saving {saving:5.1%}"
-        )
-    aggregate = 1.0 - totals[True] / totals[False]
-    record["cold_iterations"] = totals[False]
-    record["warm_iterations"] = totals[True]
-    record["saving"] = aggregate
-    print(
-        f"aggregate fixed-point iterations: cold {totals[False]}, "
-        f"warm {totals[True]}, saving {aggregate:.1%}"
-    )
-    return record
 
 
 class _FixedSpaceStrategy:
@@ -409,23 +325,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="override the benchmark machine")
     parser.add_argument("--repeats", type=int, default=None,
                         help="sessions per configuration (best-of)")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="process-pool workers for the engine (0 = serial)")
     parser.add_argument("--trace-out", metavar="FILE", default=None,
                         help="collect repro.obs spans during the engine "
                              "sessions and write a Chrome trace to FILE "
                              "(adds tracing overhead to reported timings)")
-    parser.add_argument("--warm-only", action="store_true",
-                        help="run only the warm-start session benchmark")
     parser.add_argument("--surrogate", action="store_true",
                         help="run only the surrogate-guided search benchmark "
                              "(with --quick: the X2-4 smoke section alone)")
-    parser.add_argument("--assert-warm-savings", action="store_true",
-                        help="fail unless the warm-start session saves "
-                             f">= {WARM_SAVINGS_TARGET:.0%} of the cold "
-                             "session's fixed-point iterations")
     parser.add_argument("--json", metavar="FILE", default=None,
-                        help="write the warm-session measurement record "
+                        help="with --surrogate: write the measurement record "
                              "to FILE")
     args = parser.parse_args(argv)
 
@@ -451,35 +359,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         machine = args.machine or "X2-4"  # largest: 4 sockets, 80 hw threads
         workloads, repeats = ("MD", "CG", "Swim"), args.repeats or 3
 
-    worst = None
-    if not args.warm_only:
-        worst = run(machine, workloads, repeats, args.workers or None)
-        if worst < 0:
-            return 1
-
-    warm_record = None
-    if args.warm_only or args.assert_warm_savings or not args.quick:
-        warm_record = warm_run()
-        if warm_record is None:
-            return 1
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(warm_record, fh, indent=2)
-            print(f"wrote warm-session record to {args.json}")
-        if args.assert_warm_savings:
-            saving = warm_record["saving"]
-            if saving < WARM_SAVINGS_TARGET:
-                print(
-                    f"ERROR: warm-start saving {saving:.1%} below the "
-                    f"{WARM_SAVINGS_TARGET:.0%} target"
-                )
-                return 1
-            print(
-                f"warm-start saving {saving:.1%} meets the "
-                f"{WARM_SAVINGS_TARGET:.0%} target"
-            )
-    if worst is None:
-        return 0
+    worst = run(machine, workloads, repeats)
+    if worst < 0:
+        return 1
     if args.trace_out:
         from repro import obs
         from repro.obs.export import validate_chrome_trace_file, write_chrome_trace

@@ -74,7 +74,7 @@ def rank_placements_serial(
     workload: WorkloadDescription,
     placements: Sequence[Placement],
 ) -> List[RankedPlacement]:
-    """The naive serial loop: no dedup, no cache, no pool.
+    """The naive serial loop: no dedup, no cache, no batch kernel.
 
     Reference implementation for the golden-equivalence tests and the
     ``bench_search`` baseline; prefer :func:`rank_placements`.
@@ -123,7 +123,10 @@ def rightsize(
     using the fewest threads, then cores, then sockets wins.
     """
     if tolerance < 0:
-        raise PredictionError("tolerance must be >= 0")
+        raise PredictionError(
+            f"rightsize tolerance for {workload.name!r} must be >= 0, "
+            f"got {tolerance}"
+        )
     ranked = rank_placements(predictor, workload, placements, engine=engine)
     budget = ranked[0].predicted_time_s * (1.0 + tolerance)
     eligible = [r for r in ranked if r.predicted_time_s <= budget]

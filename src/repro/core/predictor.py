@@ -69,199 +69,6 @@ DAMPEN_AFTER = 100
 #: a few tens of megabytes on the largest catalog machine.
 BATCH_CHUNK = 512
 
-#: Settle iterations between Aitken extrapolation jumps in warm-started
-#: runs.  Three is the minimum history a component-wise delta-squared
-#: step needs; warm trajectories contract geometrically near the
-#: attractor, which is exactly the regime Aitken accelerates.
-AITKEN_CYCLE = 3
-#: Denominator guard for the Aitken step: components whose second
-#: difference is smaller keep their plain iterate (already converged in
-#: that coordinate, or not yet geometric).
-_AITKEN_GUARD = 1e-14
-#: Seeds whose source prediction converged in fewer iterations than
-#: this are not worth warm-starting from: the cold fixed point already
-#: stops in ~2 iterations and a warm run can never beat that (it pays
-#: the same first iteration to reproduce the Section-5.4 cap).  Callers
-#: (the search engine, the rack scheduler) gate on this.
-WARM_MIN_SEED_ITERATIONS = 4
-
-#: One thread's symmetry class within a placement: its socket's shape
-#: (single-thread cores, SMT-dual cores) plus whether the thread shares
-#: its core.  Threads of one class are interchangeable under the
-#: topology's symmetry group, so their converged state is identical —
-#: which is what makes per-class means an exact per-thread transfer.
-ShapeClass = Tuple[Tuple[int, int], bool]
-
-
-def shape_class_keys(placement: Placement) -> List[ShapeClass]:
-    """Per-thread :data:`ShapeClass` keys, in thread order."""
-    topo = placement.topology
-    per_core: Dict[int, int] = {}
-    for t in placement.hw_thread_ids:
-        core = topo.hw_thread(t).core_id
-        per_core[core] = per_core.get(core, 0) + 1
-    ones: Dict[int, int] = {}
-    twos: Dict[int, int] = {}
-    for core, count in per_core.items():
-        socket = topo.core(core).socket_id
-        bucket = twos if count > 1 else ones
-        bucket[socket] = bucket.get(socket, 0) + 1
-    keys: List[ShapeClass] = []
-    for t in placement.hw_thread_ids:
-        hw = topo.hw_thread(t)
-        socket = hw.socket_id
-        keys.append(
-            (
-                (ones.get(socket, 0), twos.get(socket, 0)),
-                per_core[hw.core_id] > 1,
-            )
-        )
-    return keys
-
-
-@dataclass(frozen=True)
-class SeedState:
-    """A converged prediction's iteration state, transferable to
-    neighbouring placements.
-
-    Carries the *trajectory* state of the fixed point at its stopping
-    iteration — the normalised starting utilisation ``f_start /
-    f_initial`` and the clipped overall slowdowns — summarised as one
-    ``(f_norm, overall)`` mean per :data:`ShapeClass`.  Threads within
-    a class are symmetric, so the class mean loses nothing; collapsing
-    to classes is what lets a seed map onto any placement shape (the
-    candidate's threads are matched by class, falling back to the
-    nearest class of the same core-sharing kind, then the global mean).
-
-    Seeding is *advisory*: a warm-started run reproduces the cold
-    reference's Section-5.4 slowdown cap from the same uniform first
-    iteration and applies the identical stopping rule, so any seed —
-    including a completely wrong one — converges to the same fixed
-    point; a good seed only gets there in fewer iterations.
-    """
-
-    classes: Tuple[Tuple[ShapeClass, Tuple[float, float]], ...]
-    mean: Tuple[float, float]
-    iterations: int
-    n_threads: int
-
-    @staticmethod
-    def from_vectors(
-        placement: Placement,
-        f_norm: Sequence[float],
-        overall: Sequence[float],
-        iterations: int,
-    ) -> "SeedState":
-        """Summarise one converged run's state into class means."""
-        sums: Dict[ShapeClass, List[float]] = {}
-        for key, fn, ov in zip(shape_class_keys(placement), f_norm, overall):
-            entry = sums.setdefault(key, [0.0, 0.0, 0.0])
-            entry[0] += float(fn)
-            entry[1] += float(ov)
-            entry[2] += 1.0
-        classes = tuple(
-            (key, (entry[0] / entry[2], entry[1] / entry[2]))
-            for key, entry in sorted(sums.items())
-        )
-        n = max(1, len(list(f_norm)))
-        mean = (
-            float(sum(float(v) for v in f_norm)) / n,
-            float(sum(float(v) for v in overall)) / n,
-        )
-        return SeedState(
-            classes=classes,
-            mean=mean,
-            iterations=int(iterations),
-            n_threads=int(n),
-        )
-
-    def map_to(self, placement: Placement) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-thread ``(f_norm, overall)`` arrays for *placement*.
-
-        Exact class matches transfer their mean; unmatched classes fall
-        back to the nearest stored class with the same core-sharing
-        flag (by socket thread count), then to the global mean.
-        """
-        table = dict(self.classes)
-        keys = shape_class_keys(placement)
-        f_out = np.empty(len(keys))
-        o_out = np.empty(len(keys))
-        for i, key in enumerate(keys):
-            hit = table.get(key)
-            if hit is None:
-                (ones, twos), shared = key
-                weight = ones + 2 * twos
-                nearest = min(
-                    (
-                        (abs(ko + 2 * kt - weight), (ko, kt), value)
-                        for ((ko, kt), ks), value in self.classes
-                        if ks == shared
-                    ),
-                    default=None,
-                )
-                hit = nearest[2] if nearest is not None else self.mean
-            f_out[i], o_out[i] = hit
-        return f_out, o_out
-
-    # -- serialisation (the prediction store) ---------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "classes": [
-                [[list(shape), shared], list(value)]
-                for (shape, shared), value in self.classes
-            ],
-            "mean": list(self.mean),
-            "iterations": self.iterations,
-            "n_threads": self.n_threads,
-        }
-
-    @staticmethod
-    def from_dict(data: Dict[str, object]) -> "SeedState":
-        classes = tuple(
-            (
-                ((int(shape[0]), int(shape[1])), bool(shared)),
-                (float(value[0]), float(value[1])),
-            )
-            for (shape, shared), value in data["classes"]
-        )
-        mean = (float(data["mean"][0]), float(data["mean"][1]))
-        return SeedState(
-            classes=classes,
-            mean=mean,
-            iterations=int(data["iterations"]),
-            n_threads=int(data["n_threads"]),
-        )
-
-
-def _aitken_jump(
-    history: Sequence[Tuple[np.ndarray, np.ndarray]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Component-wise Aitken delta-squared extrapolation of the settle
-    trajectory: from three consecutive ``(f, overall)`` states, jump
-    each coordinate to the limit of its geometric tail.  Guarded —
-    coordinates whose second difference is below :data:`_AITKEN_GUARD`
-    keep their latest plain iterate."""
-    (f0, o0), (f1, o1), (f2, o2) = history
-    d2f = f2 - f1
-    den_f = d2f - (f1 - f0)
-    safe_f = np.abs(den_f) > _AITKEN_GUARD
-    f_jump = np.where(
-        safe_f,
-        f2 - np.where(safe_f, d2f, 0.0) ** 2 / np.where(safe_f, den_f, 1.0),
-        f2,
-    )
-    d2o = o2 - o1
-    den_o = d2o - (o1 - o0)
-    safe_o = np.abs(den_o) > _AITKEN_GUARD
-    o_jump = np.where(
-        safe_o,
-        o2 - np.where(safe_o, d2o, 0.0) ** 2 / np.where(safe_o, den_o, 1.0),
-        o2,
-    )
-    return f_jump, o_jump
-
-
 #: Per-thread vector columns recorded for each scalar iteration, in
 #: Figure 7 order.  These remain readable as attributes on
 #: :class:`IterationTrace` for backwards compatibility.
@@ -340,28 +147,6 @@ class Prediction:
     #: (Section 6.3); this is what co-scheduling builds on.
     resource_loads: Dict[ResourceKey, float] = field(default_factory=dict)
     resource_capacities: Dict[ResourceKey, float] = field(default_factory=dict)
-    #: Normalised starting utilisation ``f_start / f_initial`` at the
-    #: stopping iteration — the trajectory state that, together with
-    #: ``slowdowns``, warm-starts a neighbouring placement's fixed
-    #: point.  ``None`` on predictions rebuilt from records that
-    #: predate warm-starting.
-    final_f_norm: Optional[Tuple[float, ...]] = None
-    _seed_state: Optional["SeedState"] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def seed_state(self) -> Optional["SeedState"]:
-        """This prediction's converged state as a transferable
-        :class:`SeedState`, or ``None`` when the trajectory state was
-        not recorded.  Cached — search loops call this once per
-        neighbour expansion round."""
-        if self.final_f_norm is None:
-            return None
-        if self._seed_state is None:
-            self._seed_state = SeedState.from_vectors(
-                self.placement, self.final_f_norm, self.slowdowns, self.iterations
-            )
-        return self._seed_state
 
     def resource_utilisation(self) -> Dict[ResourceKey, float]:
         """Predicted load/capacity ratio per resource."""
@@ -691,7 +476,10 @@ class PandiaPredictor:
         tolerance: float = 1e-6,
     ) -> None:
         if max_iterations < 1:
-            raise PredictionError("need at least one iteration")
+            raise PredictionError(
+                f"predictor for {machine_description.machine_name!r} needs "
+                f"at least one iteration, got max_iterations={max_iterations}"
+            )
         self.md = machine_description
         self.max_iterations = max_iterations
         self.tolerance = tolerance
@@ -705,20 +493,8 @@ class PandiaPredictor:
         workload: WorkloadDescription,
         placement: Placement,
         keep_trace: bool = False,
-        seed: Optional[SeedState] = None,
     ) -> Prediction:
-        """Predict the performance of *workload* under *placement*.
-
-        When *seed* is given (a neighbouring placement's converged
-        :class:`SeedState`) the fixed point warm-starts: the first
-        iteration still runs from the uniform ``f_initial`` so the
-        Section-5.4 slowdown cap is *identical* to the cold reference's,
-        then the trajectory jumps to the seed's state and the settle
-        iterations are Aitken-accelerated.  The stopping rule and the
-        attractor are unchanged, so the result matches the cold run to
-        within the convergence tolerance — the seed only changes how
-        many iterations it takes to get there.
-        """
+        """Predict the performance of *workload* under *placement*."""
         n = placement.n_threads
         p = workload.parallel_fraction
         amdahl = amdahl_speedup(p, n)
@@ -727,20 +503,9 @@ class PandiaPredictor:
         demands = self._thread_demands(workload, placement)
         lock_comm, remote_mask = self._communication_terms(workload, demands, n)
 
-        seed_vectors: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        if seed is not None:
-            seed_vectors = seed.map_to(placement)
-
         f_start = np.full(n, f_initial)
         prev_overall: Optional[np.ndarray] = None
-        # True while prev_overall was injected (seed or Aitken jump) rather
-        # than computed from f_start's predecessor by the update rule.  The
-        # stopping test must not fire against an injected value: a foreign
-        # overall can coincide with overall(f_start) — e.g. both pinned at
-        # the cap — without (f_start, overall) being a fixed point.
-        synthetic_prev = False
         slowdown_cap: Optional[float] = None
-        settle_hist: List[Tuple[np.ndarray, np.ndarray]] = []
         trace: List[IterationTrace] = []
         converged = False
         iterations = 0
@@ -753,15 +518,12 @@ class PandiaPredictor:
             _m = obs.metrics()
             res_hist = _m.histogram("predictor.residual", RESIDUAL_BUCKETS)
             _m.counter("predictor.predictions").inc()
-            if seed is not None:
-                _m.counter("predictor.warm.predictions").inc()
             pspan = _tracer.start(
                 "predictor.predict",
                 attrs={
                     "workload": workload.name,
                     "machine": self.md.machine_name,
                     "threads": n,
-                    "seeded": seed is not None,
                 },
             )
 
@@ -776,42 +538,6 @@ class PandiaPredictor:
                 # on the first iteration (Section 5.4).
                 if slowdown_cap is None:
                     slowdown_cap = float(overall.max())
-                    if seed_vectors is not None:
-                        # Warm start.  The cap frequently *binds at* the
-                        # attractor, so it must be the cold reference's
-                        # cap — which the uniform first iteration just
-                        # produced.  Now jump the trajectory to the
-                        # seed's state and keep iterating; the stopping
-                        # rule below is untouched.
-                        overall = np.clip(overall, 1.0, slowdown_cap)
-                        if keep_trace:
-                            trace.append(
-                                IterationTrace(
-                                    iteration=iteration,
-                                    max_residual=math.inf,
-                                    resource_slowdown=tuple(
-                                        float(v) for v in resource
-                                    ),
-                                    comm_penalty=tuple(float(v) for v in comm),
-                                    balance_penalty=tuple(
-                                        float(v) for v in balance
-                                    ),
-                                    overall_slowdown=tuple(
-                                        float(v) for v in overall
-                                    ),
-                                    start_utilisation=tuple(
-                                        float(v) for v in f_start
-                                    ),
-                                    end_utilisation=tuple(
-                                        float(v) for v in f_initial / overall
-                                    ),
-                                )
-                            )
-                        seed_f, seed_overall = seed_vectors
-                        prev_overall = np.clip(seed_overall, 1.0, slowdown_cap)
-                        synthetic_prev = True
-                        f_start = f_initial * np.clip(seed_f, 0.0, 1.0)
-                        continue
                 overall = np.clip(overall, 1.0, slowdown_cap)
 
                 delta = math.inf
@@ -836,33 +562,17 @@ class PandiaPredictor:
                 if obs_on and math.isfinite(delta):
                     res_hist.observe(delta)
 
-                if delta < self.tolerance and not synthetic_prev:
+                if delta < self.tolerance:
                     converged = True
                     prev_overall = overall
                     break
                 prev_overall = overall
-                synthetic_prev = False
 
                 # Feed the penalty ratio into the next iteration's starting
                 # utilisation (Section 5.4).
                 f_next = f_initial * np.minimum(resource / overall, 1.0)
                 if iteration > DAMPEN_AFTER:
                     f_next = 0.5 * (f_start + f_next)
-                if seed_vectors is not None:
-                    # Warm settle is Aitken-accelerated: the contraction
-                    # near the attractor is geometric, so every
-                    # AITKEN_CYCLE iterates a delta-squared jump
-                    # extrapolates both trajectories to their limit.
-                    # Clipping keeps the jump inside the iteration's own
-                    # invariants; a bad jump is self-correcting because
-                    # the plain iteration resumes from it.
-                    settle_hist.append((f_next, overall))
-                    if len(settle_hist) == AITKEN_CYCLE:
-                        f_jump, o_jump = _aitken_jump(settle_hist)
-                        f_next = np.clip(f_jump, 0.0, f_initial)
-                        prev_overall = np.clip(o_jump, 1.0, slowdown_cap)
-                        synthetic_prev = True
-                        settle_hist = []
                 f_start = f_next
         finally:
             if obs_on:
@@ -890,14 +600,12 @@ class PandiaPredictor:
             trace=trace,
             resource_loads=loads,
             resource_capacities=dict(demands.capacities),
-            final_f_norm=tuple(float(v) for v in f_start / f_initial),
         )
 
     def predict_batch(
         self,
         workload: WorkloadDescription,
         placements: Sequence[Placement],
-        seed: Optional[SeedState] = None,
     ) -> List[Prediction]:
         """Predict every placement in one vectorised fixed point.
 
@@ -909,11 +617,6 @@ class PandiaPredictor:
         convergence) while stragglers continue; the per-placement
         slowdown cap and dampening semantics match :meth:`predict`
         exactly, so results agree with the scalar path within 1e-12.
-
-        *seed* warm-starts every placement in the population from one
-        shared :class:`SeedState` (mapped onto each placement's shape),
-        with the same cold-cap protocol and Aitken-accelerated settle
-        as :meth:`predict` — see there for the equivalence contract.
 
         Per-placement traces are not recorded — use :meth:`predict`
         with ``keep_trace=True`` to inspect a single placement's
@@ -930,7 +633,7 @@ class PandiaPredictor:
         for start in range(0, len(placements), BATCH_CHUNK):
             results.extend(
                 self._predict_batch_chunk(
-                    workload, placements[start : start + BATCH_CHUNK], seed=seed
+                    workload, placements[start : start + BATCH_CHUNK]
                 )
             )
         return results
@@ -1040,7 +743,6 @@ class PandiaPredictor:
         self,
         workload: WorkloadDescription,
         placements: List[Placement],
-        seed: Optional[SeedState] = None,
     ) -> List[Prediction]:
         """One stacked fixed point over a chunk of placements.
 
@@ -1071,16 +773,6 @@ class PandiaPredictor:
         n_max = int(n_arr.max())
         row = np.arange(pop)[:, None]
         valid = np.arange(n_max)[None, :] < n_arr[:, None]
-
-        warm: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        if seed is not None:
-            warm_f = np.zeros((pop, n_max))
-            warm_o = np.ones((pop, n_max))
-            for k, p in enumerate(placements):
-                sf, so = seed.map_to(p)
-                warm_f[k, : n_arr[k]] = sf
-                warm_o[k, : n_arr[k]] = so
-            warm = (warm_f, warm_o)
 
         ids = np.zeros((pop, n_max), dtype=np.intp)
         for k, p in enumerate(placements):
@@ -1187,13 +879,6 @@ class PandiaPredictor:
         iterations = np.zeros(pop, dtype=int)
         converged = np.zeros(pop, dtype=bool)
         final = np.zeros((pop, n_max))
-        final_f = np.zeros((pop, n_max))
-        settle_hist: List[Tuple[np.ndarray, np.ndarray]] = []
-        # Seed injection and Aitken jumps fire for all live rows at once,
-        # so one flag covers the population: while it is set, prev holds
-        # injected values and no row may retire against them (see the
-        # scalar path for why a synthetic prev can fake convergence).
-        synthetic_prev = False
         f_init_a, n_a = f_init, n_arr
         valid_a, shared_a = valid, shared
         core_slot_a, sock_slot_a = core_slot, sock_slot
@@ -1223,15 +908,12 @@ class PandiaPredictor:
             res_hist = _m.histogram("predictor.residual", RESIDUAL_BUCKETS)
             compactions = _m.counter("predictor.batch.compactions")
             _m.counter("predictor.batch.chunks").inc()
-            if seed is not None:
-                _m.counter("predictor.warm.predictions").inc(pop)
             chunk_span = _tracer.start(
                 "predictor.predict_batch",
                 attrs={
                     "workload": workload.name,
                     "machine": self.md.machine_name,
                     "population": pop,
-                    "seeded": seed is not None,
                 },
             )
             convergence: List[ConvergenceRecord] = []
@@ -1333,27 +1015,6 @@ class PandiaPredictor:
             overall = l * overall + (1.0 - l) * peak[:, None]
             if cap_vec is None:
                 cap_vec = np.where(valid_a, overall, -np.inf).max(axis=1)
-                if warm is not None:
-                    # Warm start: same cold-cap protocol as the scalar
-                    # path — the uniform first iteration fixes the
-                    # Section-5.4 cap, then every row jumps to its
-                    # mapped seed state.  No row can have retired yet,
-                    # so the full-population warm arrays line up.
-                    prev = np.where(
-                        valid_a,
-                        np.clip(warm[1], 1.0, cap_vec[:, None]),
-                        np.clip(overall, 1.0, cap_vec[:, None]),
-                    )
-                    overall = prev
-                    f = np.where(
-                        valid_a,
-                        f_init_a[:, None] * np.clip(warm[0], 0.0, 1.0),
-                        0.0,
-                    )
-                    synthetic_prev = True
-                    if obs_on:
-                        _end_iteration(it_span, iteration, cur, math.inf, 0)
-                    continue
             overall = np.clip(overall, 1.0, cap_vec[:, None])
 
             if prev is not None:
@@ -1361,15 +1022,12 @@ class PandiaPredictor:
                 if obs_on:
                     delta_max = float(delta.max())
                 done = delta < self.tolerance
-                if synthetic_prev:
-                    done[:] = False
                 if done.any():
                     if obs_on:
                         retired = int(np.count_nonzero(done))
                     finished = alive[done]
                     converged[finished] = True
                     final[finished] = overall[done]
-                    final_f[finished] = f[done]
                     keep = ~done
                     alive = alive[keep]
                     if not alive.size:
@@ -1389,41 +1047,21 @@ class PandiaPredictor:
                             link_coef_v_a = link_coef_v_a[keep]
                             link_mask_a = link_mask_a[keep]
                     resource, overall, f = resource[keep], overall[keep], f[keep]
-                    settle_hist = [
-                        (hf[keep], ho[keep]) for hf, ho in settle_hist
-                    ]
                     live_row = np.arange(alive.size)[:, None]
                     flat_core = (live_row * c_max + core_slot_a).ravel()
                     flat_sock = (live_row * n_sockets + sock_slot_a).ravel()
                     rows_flat = np.repeat(np.arange(alive.size), n_max)
             prev = overall
-            synthetic_prev = False
 
             f_next = f_init_a[:, None] * np.minimum(resource / overall, 1.0)
             if iteration > DAMPEN_AFTER:
                 f_next = 0.5 * (f + f_next)
             f = np.where(valid_a, f_next, 0.0)
-            if warm is not None:
-                # Aitken-accelerated settle, mirroring the scalar path;
-                # retired rows were dropped from the history above, so
-                # the three snapshots always share the live-row shape.
-                settle_hist.append((f, overall))
-                if len(settle_hist) == AITKEN_CYCLE:
-                    f_jump, o_jump = _aitken_jump(settle_hist)
-                    f = np.where(
-                        valid_a,
-                        np.clip(f_jump, 0.0, f_init_a[:, None]),
-                        0.0,
-                    )
-                    prev = np.clip(o_jump, 1.0, cap_vec[:, None])
-                    synthetic_prev = True
-                    settle_hist = []
             if obs_on:
                 _end_iteration(it_span, iteration, cur, delta_max, retired)
 
         if alive.size:  # stragglers that hit max_iterations
             final[alive] = overall
-            final_f[alive] = f
 
         if obs_on:
             _m.histogram("predictor.iterations").observe_many(
@@ -1517,9 +1155,6 @@ class PandiaPredictor:
                     trace=[],
                     resource_loads=dict(zip(keys, loads_list)),
                     resource_capacities=dict(zip(keys, caps_list)),
-                    final_f_norm=tuple(
-                        (final_f[k, :n] / f_init[k]).tolist()
-                    ),
                 )
             )
         return results

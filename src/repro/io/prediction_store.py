@@ -28,8 +28,9 @@ a name-free key built from every job's workload digest and concrete
 thread ids; outcomes are re-labelled for the requesting job order on
 the way out.
 
-Stored predictions carry ``final_f_norm``, so a store hit can seed
-warm-started re-predictions exactly like a fresh evaluation.
+Readers take only the fields they need, so records carrying fields
+this version no longer writes still load as hits under the same
+``STORE_VERSION``.
 """
 
 from __future__ import annotations
@@ -167,7 +168,6 @@ class PredictionStore:
         record = self._shard(m_digest, w_digest)["solo"].get(repr(key))
         if record is None:
             return None
-        final_f_norm = record.get("final_f_norm")
         return Prediction(
             workload_name=record["workload_name"],
             machine_name=record["machine_name"],
@@ -182,7 +182,6 @@ class PredictionStore:
             trace=[],
             resource_loads=_decode_resources(record["resource_loads"]),
             resource_capacities=_decode_resources(record["resource_capacities"]),
-            final_f_norm=tuple(final_f_norm) if final_f_norm is not None else None,
         )
 
     def put_prediction(
@@ -206,11 +205,6 @@ class PredictionStore:
             "resource_loads": _encode_resources(prediction.resource_loads),
             "resource_capacities": _encode_resources(
                 prediction.resource_capacities
-            ),
-            "final_f_norm": (
-                list(prediction.final_f_norm)
-                if prediction.final_f_norm is not None
-                else None
             ),
         }
         self._dirty.add((m_digest, w_digest))

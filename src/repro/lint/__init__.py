@@ -1,15 +1,14 @@
 """``repro.lint`` — the project's own static invariant checker.
 
 Every headline property of this reproduction — bit-identical
-predictions, golden-reference purity, pool-safe fan-out, bounded
-observability overhead, actionable errors — is a *convention* until
-something checks it.  This package checks them at CI time, over the
-stdlib :mod:`ast`, with zero third-party dependencies:
+predictions, golden-reference purity, bounded observability overhead,
+actionable errors — is a *convention* until something checks it.  This
+package checks them at CI time, over the stdlib :mod:`ast`, with zero
+third-party dependencies:
 
 =========  ==========================================================
 PD-DET     no global RNG draws, wall clocks, or set-order iteration
 PD-GOLD    golden modules never import the layers tested against them
-PD-POOL    pool-submitted work writes no shared state, ships picklable
 PD-OBS     spans as context managers, hoisted enabled(), namespaced
            metric names
 PD-ERR     repro.errors raises interpolate the failing entity

@@ -12,6 +12,5 @@ from repro.lint.rules import (  # noqa: F401  (imported for registration)
     floatcmp,
     golden,
     obscontract,
-    pool,
     pragma_hygiene,
 )

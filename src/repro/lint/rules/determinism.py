@@ -1,9 +1,9 @@
 """PD-DET — predictions must be bit-identical across runs and seeds.
 
 The reproduction's headline invariant (pinned dynamically by
-``tests/search/test_golden_equivalence.py`` and the warm-start suites)
-is that every prediction is a pure function of its inputs.  Three
-statically visible ways to break that:
+``tests/search/test_golden_equivalence.py``) is that every prediction
+is a pure function of its inputs.  Three statically visible ways to
+break that:
 
 * drawing from a **global RNG** (``random.random()``,
   ``np.random.rand()``) instead of a seeded ``random.Random(seed)`` /

@@ -21,12 +21,9 @@ Reading the results::
     from repro.obs.export import write_chrome_trace, write_spans_jsonl
     write_chrome_trace("trace.json", obs.tracer().spans())  # Perfetto
 
-Executor fan-out: worker *threads* share the process tracer and parent
-their spans explicitly (``obs.span(name, parent=captured_id)``).
-Worker *processes* call :func:`begin_worker` / :func:`collect_worker`
-around each work unit and ship the payload back with the result; the
-parent folds it in with :func:`absorb_worker`.  The search engine does
-all of this automatically — see ``docs/observability.md``.
+Worker threads share the process tracer; a span opened on another
+thread can be parented explicitly with ``obs.span(name,
+parent=captured_id)``.
 
 v2 layers ride on these primitives: :mod:`repro.obs.timeseries`
 (periodic registry samples into ring-buffer series, JSONL + Prometheus
@@ -40,7 +37,7 @@ from __future__ import annotations
 
 import atexit
 import os
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, Optional
 
 from repro.obs.metrics import Counter, Gauge, Histogram, Metrics
 from repro.obs.records import ConvergenceRecord
@@ -66,18 +63,11 @@ __all__ = [
     "span",
     "tracer",
     "metrics",
-    "begin_worker",
-    "collect_worker",
-    "absorb_worker",
 ]
 
 _enabled = False
 _tracer = Tracer()
 _metrics = Metrics()
-#: Pid that owns the current tracer/metrics; a forked pool worker finds
-#: a mismatch and swaps in fresh instances so the parent's buffered
-#: spans are never double-reported through the worker payload.
-_owner_pid = os.getpid()
 
 
 def enabled() -> bool:
@@ -123,43 +113,6 @@ def span(name: str, parent: Optional[str] = None, **attrs: Any):
     if not _enabled:
         return NULL_SPAN
     return _tracer.span(name, parent=parent, **attrs)
-
-
-# -- process-pool worker protocol -------------------------------------------
-
-
-def begin_worker() -> None:
-    """Arm collection inside a pool worker process.
-
-    Fork-safe: the first call in a freshly forked worker discards the
-    tracer/metrics state inherited from the parent (those spans are the
-    parent's to report) and starts clean buffers.
-    """
-    global _tracer, _metrics, _owner_pid, _enabled
-    if os.getpid() != _owner_pid:
-        _tracer = Tracer()
-        _metrics = Metrics()
-        _owner_pid = os.getpid()
-    _enabled = True
-
-
-def collect_worker() -> Tuple[List[Span], dict]:
-    """Drain this worker's spans + metrics into a picklable payload.
-
-    Both stores are emptied: pool workers are reused across work units,
-    and a copy-without-clear would re-ship (double-count) everything
-    already reported the next time the worker is collected.
-    """
-    data = _metrics.data()
-    _metrics.clear()
-    return _tracer.drain(), data
-
-
-def absorb_worker(payload: Tuple[List[Span], dict]) -> None:
-    """Fold a worker payload back into the parent's tracer/registry."""
-    spans, metric_data = payload
-    _tracer.absorb(spans)
-    _metrics.merge(metric_data)
 
 
 # -- environment hook --------------------------------------------------------

@@ -4,13 +4,12 @@ One :class:`Metrics` registry holds named instruments behind a single
 lock.  Instruments are created on first use (``registry.counter(name)``
 is get-or-create) so call sites never need registration boilerplate.
 
-The registry is process-local; pool workers ship ``registry.data()``
-(a plain JSON-able dict) back with their results and the parent folds
-it in with :meth:`Metrics.merge` — counters and histogram buckets add,
-gauges take the incoming value.  ``snapshot()`` is a merge into a fresh
-registry, giving an independent copy (what
-:meth:`repro.search.stats.SearchStats.snapshot` freezes into a
-:class:`~repro.search.engine.SearchResult`).
+The registry is process-local; :meth:`Metrics.merge` folds another
+registry (or its plain JSON-able ``data()`` dict) in — counters and
+histogram buckets add, gauges take the incoming value.
+``snapshot()`` is a merge into a fresh registry, giving an independent
+copy (what :meth:`repro.search.stats.SearchStats.snapshot` freezes into
+a :class:`~repro.search.engine.SearchResult`).
 """
 
 from __future__ import annotations

@@ -1,9 +1,7 @@
 """Span-tree profiling: folded stacks, hot-path tables, SVG flamegraphs.
 
-The tracer's flat finished-span buffer (including spans merged back
-from process-pool workers — span ids embed the producing pid, parents
-were captured at submit time) is folded here into an aggregate call
-tree:
+The tracer's flat finished-span buffer is folded here into an
+aggregate call tree:
 
 * :func:`aggregate` — one :class:`Frame` per distinct name-path, with
   total/self wall time and visit counts; sibling spans with the same

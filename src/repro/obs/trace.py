@@ -1,4 +1,4 @@
-"""Nested-span tracer with thread- and process-safe propagation.
+"""Nested-span tracer with thread-safe propagation.
 
 A :class:`Span` records a name, free-form attributes, wall time
 (``time.perf_counter_ns`` — ``CLOCK_MONOTONIC``, comparable across
@@ -7,12 +7,9 @@ processes on one host) and CPU time for one phase of work.  The
 explicit plumbing within a thread) and a lock-protected buffer of
 finished spans.
 
-Crossing an executor boundary is explicit: the submitting side captures
-``tracer.current_id()`` and the worker opens its spans with
-``parent=<that id>``.  Worker *processes* run their own tracer and ship
-finished spans back with the task result; the parent folds them in with
-:meth:`Tracer.absorb` — span ids embed the producing pid, so merged
-buffers never collide.
+Crossing a thread boundary is explicit: the submitting side captures
+``tracer.current_id()`` and the other thread opens its spans with
+``parent=<that id>``.  Span ids embed the producing pid.
 
 Everything here is plain stdlib and allocation-light; the module is
 never imported on the disabled fast path (callers guard on
@@ -26,7 +23,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 
 @dataclass
@@ -131,7 +128,7 @@ class Tracer:
         attrs: Optional[Dict[str, Any]] = None,
     ) -> Span:
         """Open a span; parented under this thread's current span unless
-        *parent* carries an explicit id (executor fan-out)."""
+        *parent* carries an explicit id (cross-thread parenting)."""
         stack = self._stack()
         if parent is None and stack:
             parent = stack[-1].span_id
@@ -176,16 +173,11 @@ class Tracer:
             return list(self._finished)
 
     def drain(self) -> List[Span]:
-        """Remove and return every finished span (for shipping/merging)."""
+        """Remove and return every finished span."""
         with self._lock:
             out = self._finished
             self._finished = []
         return out
-
-    def absorb(self, spans: Iterable[Span]) -> None:
-        """Fold spans drained from another tracer (e.g. a pool worker)."""
-        with self._lock:
-            self._finished.extend(spans)
 
     def clear(self) -> None:
         self.drain()

@@ -119,7 +119,6 @@ class RackScheduler:
         rack: Rack,
         *,
         store=None,
-        warm_start: bool = False,
         surrogate=None,
     ) -> None:
         self.rack = rack
@@ -142,11 +141,9 @@ class RackScheduler:
         # Solo estimates go through search engines: racks of identical
         # nodes and repeated schedule() calls re-ask for the same
         # (workload, shape) predictions, which the cache absorbs.  The
-        # shared store (if any) carries them across sessions, and
-        # ``warm_start`` lets refine-style evaluations seed from
-        # converged neighbours.
+        # shared store (if any) carries them across sessions.
         self._solo_search = {
-            name: SearchEngine(predictor, store=store, warm_start=warm_start)
+            name: SearchEngine(predictor, store=store)
             for name, predictor in self._solo.items()
         }
         # Store digests, built lazily: machine digests hash the model
@@ -182,7 +179,8 @@ class RackScheduler:
         a cap, letting it grow into space the fair shares left over.
         """
         if not workloads:
-            raise ReproError("no workloads to schedule")
+            machines = ", ".join(m.name for m in self.rack.machines)
+            raise ReproError(f"no workloads to schedule on rack [{machines}]")
         names = [w.name for w in workloads]
         if len(set(names)) != len(names):
             raise ReproError(f"duplicate workload names: {names}")

@@ -12,10 +12,8 @@ that evaluation scale:
   ``(workload fingerprint, canonical placement key)``, so repeated
   searches over overlapping placement sets pay only dictionary lookups
   (:mod:`repro.search.cache`);
-* **fan-out** — cache misses are evaluated in chunked work units on a
-  ``concurrent.futures`` thread or process pool, with a sequential
-  fallback when no pool is requested or available
-  (:class:`repro.search.engine.SearchEngine`);
+* **batching** — cache misses go to the predictor's vectorised batch
+  kernel in one call (:class:`repro.search.engine.SearchEngine`);
 * **strategies** — exhaustive enumeration, the packed/spread sweep,
   a greedy hill-climb over neighbour moves, and a surrogate-guided
   top-k search (a trained :mod:`repro.surrogate` model ranks the whole
@@ -24,8 +22,8 @@ that evaluation scale:
 
 The fast path is *prediction-equivalent* to the naive serial loop: the
 same concrete placements are fed to the same deterministic predictor,
-so results are bit-identical regardless of worker count or chunk size
-(see ``tests/search/test_golden_equivalence.py``).
+so results match it within the batch kernel's 1e-12 guarantee (see
+``tests/search/test_golden_equivalence.py``).
 """
 
 from repro.search.cache import PredictionCache

@@ -5,9 +5,8 @@ evicts from the front.  The cache itself is policy-free — hit/miss
 accounting lives in :class:`~repro.search.stats.SearchStats`, owned by
 the engine, so one stats object can span several caches if needed.
 
-Thread-safe: the engine's pool workers never touch the cache (only the
-coordinating thread does), but a lock keeps the structure safe should
-two engines ever share one cache from different threads.
+Thread-safe: a lock keeps the structure consistent should two engines
+ever share one cache from different threads.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ class PredictionCache(Generic[V]):
 
     def __init__(self, maxsize: int = 65536) -> None:
         if maxsize < 1:
-            raise ReproError("cache size must be >= 1")
+            raise ReproError(f"cache size must be >= 1, got {maxsize}")
         self.maxsize = maxsize
         self._data: "OrderedDict[Hashable, V]" = OrderedDict()
         self._lock = threading.Lock()

@@ -4,8 +4,7 @@
 :class:`repro.obs.Metrics` registry (instrument names ``search.*``)
 rather than a bag of hand-rolled ints: the same counters the engine
 bumps are what ``repro optimize --metrics`` folds into the global
-metrics summary, and pool workers' contributions merge through the
-registry's ``merge`` like every other metric.
+metrics summary.
 
 The invariants the property tests pin down
 (``tests/properties/test_search_properties.py``):
@@ -36,7 +35,6 @@ _COUNTER_FIELDS = (
     "cache_misses",
     "store_hits",
     "evaluations",
-    "warm_seeded",
     "fixed_point_iterations",
     "rounds",
     "surrogate_scored",
@@ -117,10 +115,6 @@ class SearchStats:
         return self._value("evaluations")
 
     @property
-    def warm_seeded(self) -> int:  # evaluations that ran warm-started
-        return self._value("warm_seeded")
-
-    @property
     def fixed_point_iterations(self) -> int:  # total iterations across evaluations
         return self._value("fixed_point_iterations")
 
@@ -178,13 +172,6 @@ class SearchStats:
         return self.cache_hits / self.requests
 
     @property
-    def warm_rate(self) -> float:
-        """Fraction of predictor evaluations that ran warm-started."""
-        if self.evaluations == 0:
-            return 0.0
-        return self.warm_seeded / self.evaluations
-
-    @property
     def mean_iterations(self) -> float:
         """Fixed-point iterations per predictor evaluation (0 when none ran).
 
@@ -225,11 +212,7 @@ class SearchStats:
                 f"p50 {self.iterations_percentile(0.50):.1f} / "
                 f"p90 {self.iterations_percentile(0.90):.1f})",
             ),
-            (
-                "warm seeded",
-                f"{self.warm_seeded} ({self.warm_rate:.0%}) over "
-                f"{self.fixed_point_iterations} fixed-point iterations",
-            ),
+            ("fixed-point iterations", str(self.fixed_point_iterations)),
             (
                 "surrogate",
                 f"{self.surrogate_scored} scored / "

@@ -15,6 +15,7 @@ from repro.errors import ModelError, ReproError
 from repro.hardware import machines
 from repro.io import PredictionStore, fingerprint_digest, machine_digest
 from repro.io.prediction_store import STORE_VERSION
+from repro.search import SearchEngine
 from repro.search.canonical import canonical_key, workload_fingerprint
 from repro.sim.noise import NO_NOISE
 from repro.workloads import catalog
@@ -49,7 +50,6 @@ class TestSoloRoundTrip:
         assert got.predicted_time_s == prediction.predicted_time_s
         assert got.slowdowns == prediction.slowdowns
         assert got.utilisations == prediction.utilisations
-        assert got.final_f_norm == prediction.final_f_norm
         assert got.iterations == prediction.iterations
         assert got.converged is prediction.converged
         assert got.resource_loads == prediction.resource_loads
@@ -61,14 +61,12 @@ class TestSoloRoundTrip:
         key = canonical_key(placement)
         with PredictionStore(tmp_path) as store:
             store.put_prediction(m_digest, w_digest, key, prediction)
-        # A fresh instance over the same root sees the flushed record,
-        # including the seedable final_f_norm.
+        # A fresh instance over the same root sees the flushed record.
         reread = PredictionStore(tmp_path)
         got = reread.get_prediction(m_digest, w_digest, key, placement)
         assert got is not None
         assert got.predicted_time_s == prediction.predicted_time_s
-        assert got.final_f_norm == prediction.final_f_norm
-        assert got.seed_state() == prediction.seed_state()
+        assert got.slowdowns == prediction.slowdowns
 
     def test_rebuilds_onto_requested_placement(self, env, tmp_path):
         spec, md, workload, predictor, placement, prediction = env
@@ -81,6 +79,59 @@ class TestSoloRoundTrip:
         got = store.get_prediction(m_digest, w_digest, key, placement)
         assert got.placement == placement
         assert got.trace == []
+
+
+class TestOlderRecordFormat:
+    """Shards written before the trajectory field was dropped."""
+
+    def test_records_with_trajectory_field_still_hit(self, env, tmp_path):
+        spec, md, workload, predictor, placement, prediction = env
+        m_digest, w_digest = _ids(md, workload)
+        key = canonical_key(placement)
+        with PredictionStore(tmp_path) as store:
+            store.put_prediction(m_digest, w_digest, key, prediction)
+            path = store.shard_path(m_digest, w_digest)
+        data = json.loads(path.read_text())
+        record = data["solo"][repr(key)]
+        assert "final_f_norm" not in record  # new records omit the field
+        # The older writer stored the normalised starting utilisation
+        # of the stopping iteration alongside every record.
+        record["final_f_norm"] = [1.0] * len(prediction.slowdowns)
+        assert data["version"] == STORE_VERSION
+        path.write_text(json.dumps(data))
+
+        got = PredictionStore(tmp_path).get_prediction(
+            m_digest, w_digest, key, placement
+        )
+        assert got is not None
+        assert got.predicted_time_s == prediction.predicted_time_s
+        assert got.speedup == prediction.speedup
+        assert got.amdahl == prediction.amdahl
+        assert got.slowdowns == prediction.slowdowns
+        assert got.utilisations == prediction.utilisations
+        assert got.iterations == prediction.iterations
+        assert got.converged is prediction.converged
+        assert got.resource_loads == prediction.resource_loads
+        assert got.resource_capacities == prediction.resource_capacities
+
+    def test_engine_counts_older_records_as_store_hits(self, env, tmp_path):
+        spec, md, workload, predictor, placement, prediction = env
+        with SearchEngine(predictor, store=PredictionStore(tmp_path)) as engine:
+            fresh = engine.evaluate(workload, [placement])[0].prediction
+        shards = list(tmp_path.rglob("*.json"))
+        assert len(shards) == 1
+        for path in shards:
+            data = json.loads(path.read_text())
+            for record in data["solo"].values():
+                record["final_f_norm"] = [0.5] * len(record["slowdowns"])
+            path.write_text(json.dumps(data))
+
+        with SearchEngine(predictor, store=PredictionStore(tmp_path)) as engine:
+            hit = engine.evaluate(workload, [placement])[0].prediction
+            assert engine.stats.store_hits == 1
+            assert engine.stats.evaluations == 0
+        assert hit.predicted_time_s == fresh.predicted_time_s
+        assert hit.slowdowns == fresh.slowdowns
 
 
 class TestJointRoundTrip:

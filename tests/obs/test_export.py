@@ -1,6 +1,7 @@
 """Unit tests for the exporters (repro.obs.export)."""
 
 import json
+import threading
 
 import pytest
 
@@ -17,22 +18,23 @@ from repro.obs.export import (
 
 
 def _sample_spans():
-    """outer > (first, second) on one thread, plus a merged-in span
-    from a fake worker process."""
+    """outer > (first, second) on one thread, plus a span opened on a
+    second thread and parented explicitly under ``outer``."""
     tracer = Tracer()
     with tracer.span("outer", workload="MD"):
         with tracer.span("first"):
             pass
         with tracer.span("second", misses=3):
             pass
-    spans = tracer.spans()
-    worker = Tracer()
-    with worker.span("chunk", parent=spans[-1].span_id):
-        pass
-    shipped = worker.drain()
-    for span in shipped:  # simulate a forked worker's identity
-        span.pid += 1
-    tracer.absorb(shipped)
+    parent_id = tracer.spans()[-1].span_id
+
+    def helper():
+        with tracer.span("chunk", parent=parent_id):
+            pass
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    thread.join()
     return tracer.spans()
 
 
@@ -46,11 +48,11 @@ class TestChromeExport:
 
     def test_nesting_survives_shuffled_buffer(self):
         spans = _sample_spans()
-        spans.reverse()  # pool merges arrive in arbitrary order
+        spans.reverse()  # buffers may arrive in arbitrary order
         document = to_chrome_trace(spans)
         counts = validate_chrome_trace(document)
         assert counts["spans"] == 4
-        assert counts["tracks"] == 2  # parent pid + fake worker pid
+        assert counts["tracks"] == 2  # main thread + helper thread
 
     def test_b_events_carry_span_identity_and_attrs(self):
         events = chrome_trace_events(_sample_spans())

@@ -5,23 +5,17 @@ Pinned invariants:
 * canonicalisation is idempotent and socket-permutation invariant;
 * ``cache_hits + cache_misses == requests`` and
   ``evaluations == cache_misses`` for any request sequence, even with
-  LRU eviction;
-* ranked results are independent of worker count and chunk size.
+  LRU eviction.
 """
 
 from __future__ import annotations
 
 import itertools
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.description import DemandVector, WorkloadDescription
-from repro.core.machine_desc import generate_machine_description
 from repro.core.placement import from_shapes
-from repro.core.predictor import PandiaPredictor
-from repro.core.workload_desc import WorkloadDescriptionGenerator
-from repro.hardware import machines
 from repro.hardware.topology import MachineTopology
 from repro.search import (
     SearchEngine,
@@ -29,8 +23,6 @@ from repro.search import (
     canonical_representative,
     workload_fingerprint,
 )
-from repro.sim.noise import NO_NOISE
-from repro.workloads import catalog
 
 TOPO = MachineTopology(2, 4, 2)
 
@@ -162,38 +154,3 @@ def test_repeat_lookups_are_hits():
     assert engine.stats.requests == 10
     assert engine.stats.evaluations == 1
     assert engine.stats.cache_hits == 9
-
-
-# -- worker-count / chunk-size independence ---------------------------------
-
-
-@pytest.fixture(scope="module")
-def real_setup():
-    spec = machines.get("TESTBOX")
-    md = generate_machine_description(spec, noise=NO_NOISE)
-    wd = WorkloadDescriptionGenerator(spec, md, noise=NO_NOISE).generate(
-        catalog.get("CG")
-    )
-    from repro.core.placement import enumerate_canonical
-
-    return PandiaPredictor(md), wd, enumerate_canonical(spec.topology, max_threads=10)
-
-
-@pytest.mark.parametrize("max_workers", [None, 2, 3])
-@pytest.mark.parametrize("chunk_size", [1, 3, 16])
-def test_results_independent_of_workers_and_chunks(
-    real_setup, max_workers, chunk_size
-):
-    predictor, workload, placements = real_setup
-    reference = SearchEngine(predictor).rank(workload, placements)
-    with SearchEngine(
-        predictor,
-        max_workers=max_workers,
-        executor="thread",
-        chunk_size=chunk_size,
-    ) as engine:
-        ranked = engine.rank(workload, placements)
-    assert [r.placement for r in ranked] == [r.placement for r in reference]
-    assert [r.predicted_time_s for r in ranked] == [
-        r.predicted_time_s for r in reference
-    ]

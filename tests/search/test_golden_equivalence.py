@@ -1,8 +1,9 @@
 """Golden regression: the fast search path equals the naive serial loop.
 
-For every machine in the catalog and three catalog workloads, the
-parallel + cached engine must return the same best placement and the
-same predicted times (within 1e-12) as
+For every machine in the catalog and four catalog workloads (Art is the
+memory-contended one with the longest fixed-point settle), the cached
+engine and a prediction-store hit must both return the same best
+placement and the same predicted times (within 1e-12) as
 :func:`repro.core.optimizer.rank_placements_serial` — the pre-engine
 implementation kept verbatim as the reference.
 
@@ -26,12 +27,13 @@ from repro.core.predictor import PandiaPredictor
 from repro.core.sweep import sweep_placements
 from repro.core.workload_desc import WorkloadDescriptionGenerator
 from repro.hardware import machines
+from repro.io import PredictionStore
 from repro.search import SearchEngine, canonical_key
 from repro.sim.noise import NO_NOISE
 from repro.workloads import catalog
 
 MACHINES = machines.names()
-WORKLOADS = ("MD", "CG", "EP")
+WORKLOADS = ("MD", "CG", "EP", "Art")
 TOLERANCE = 1e-12
 
 _CACHE = {}
@@ -85,23 +87,29 @@ def _assert_rank_matches(ranked, golden, label):
 @pytest.mark.parametrize("workload_name", WORKLOADS)
 class TestGoldenEquivalence:
     def test_parallel_cached_search_matches_serial_loop(
-        self, machine_name, workload_name
+        self, machine_name, workload_name, tmp_path
     ):
+        """Engine miss path, cache hit and store hit all match the loop."""
         spec, predictor, descriptions = _setup(machine_name)
         workload = descriptions[workload_name]
         placements = _candidates(spec)
 
         golden = rank_placements_serial(predictor, workload, placements)
 
-        with SearchEngine(
-            predictor, max_workers=2, executor="thread", chunk_size=7
-        ) as engine:
+        with SearchEngine(predictor, store=PredictionStore(tmp_path)) as engine:
             fast = rank_placements(predictor, workload, placements, engine=engine)
             # A second pass must be answered from the cache, unchanged.
             again = rank_placements(predictor, workload, placements, engine=engine)
             assert engine.stats.cache_hits >= len(placements)
 
-        for label, ranked in (("fast", fast), ("cached", again)):
+        # A fresh engine over the flushed store answers every class from
+        # disk without running the predictor.
+        with SearchEngine(predictor, store=PredictionStore(tmp_path)) as engine:
+            stored = rank_placements(predictor, workload, placements, engine=engine)
+            assert engine.stats.store_hits == len(placements)
+            assert engine.stats.evaluations == 0
+
+        for label, ranked in (("fast", fast), ("cached", again), ("store", stored)):
             _assert_rank_matches(
                 ranked, golden, f"{label} on {machine_name}/{workload_name}"
             )
@@ -131,21 +139,6 @@ class TestSymmetricDuplicates:
         assert canonical_key(fast[0].placement) == canonical_key(golden[0].placement)
         for ours, ref in zip(fast, golden):
             assert abs(ours.predicted_time_s - ref.predicted_time_s) <= TOLERANCE
-
-
-class TestProcessPoolEquivalence:
-    """One process-pool case (spawn cost keeps this to a single machine)."""
-
-    def test_process_pool_matches_serial(self):
-        spec, predictor, descriptions = _setup("TESTBOX")
-        workload = descriptions["MD"]
-        placements = _candidates(spec)
-        golden = rank_placements_serial(predictor, workload, placements)
-        with SearchEngine(
-            predictor, max_workers=2, executor="process", chunk_size=5
-        ) as engine:
-            fast = engine.rank(workload, placements)
-        _assert_rank_matches(fast, golden, "process pool on TESTBOX/MD")
 
 
 @pytest.mark.parametrize("machine_name", MACHINES)

@@ -71,7 +71,6 @@ class TestObservabilityDocumented:
         "search.evaluate",
         "search.cache",
         "search.predict",
-        "search.chunk",
         "search.strategy",
         "sim.simulate",
         "sim.fixed_point",
@@ -275,23 +274,14 @@ class TestOnlineDocumented:
         assert "bench_rack_online.py --quick" in ci
         assert "BENCH_rack_online.json" in ci
 
-class TestWarmStartDocumented:
-    """docs track the warm-start machinery and the prediction store."""
+
+class TestPredictionStoreDocumented:
+    """docs track the persistent prediction store."""
 
     API_TOKENS = (
         "PredictionStore",
-        "SeedState",
-        "seed_state()",
-        "warm_start",
-        "final_f_norm",
         "machine_digest",
         "fingerprint_digest",
-    )
-    MODEL_TOKENS = (
-        "Warm-start & delta prediction",
-        "slowdown cap",
-        "Aitken",
-        "WARM_MIN_SEED_ITERATIONS",
     )
 
     def test_api_doc_covers_the_surface(self):
@@ -299,14 +289,8 @@ class TestWarmStartDocumented:
         for token in self.API_TOKENS:
             assert token in text, f"{token!r} missing from docs/api.md"
 
-    def test_model_doc_explains_the_protocol(self):
-        text = (REPO / "docs" / "model.md").read_text()
-        for token in self.MODEL_TOKENS:
-            assert token in text, f"{token!r} missing from docs/model.md"
-
     def test_readme_cross_links(self):
         readme = (REPO / "README.md").read_text()
-        assert "--warm-start" in readme
         assert "--store" in readme
 
     def test_cli_exposes_the_documented_flags(self):
@@ -316,36 +300,27 @@ class TestWarmStartDocumented:
         subparsers = next(
             a for a in parser._actions if a.__class__.__name__ == "_SubParsersAction"
         )
-        for command, flags in (
-            ("optimize", ("--warm-start", "--store")),
-            ("online", ("--store",)),
-        ):
+        for command in ("optimize", "online"):
             option_strings = {
                 opt
                 for action in subparsers.choices[command]._actions
                 for opt in action.option_strings
             }
-            for flag in flags:
-                assert flag in option_strings, (
-                    f"{flag} missing from `pandia {command}`"
-                )
+            assert "--store" in option_strings, (
+                f"--store missing from `pandia {command}`"
+            )
 
     def test_stats_surface_the_telemetry(self):
-        # The documented SearchStats warm counters must exist: a rename
+        # The documented SearchStats counters must exist: a rename
         # breaks both the docs and anyone reading summary() output.
         from repro.search.stats import SearchStats
 
         stats = SearchStats()
-        for field in ("store_hits", "warm_seeded", "fixed_point_iterations",
-                      "warm_rate"):
+        for field in ("store_hits", "fixed_point_iterations"):
             assert hasattr(stats, field)
         text = (REPO / "docs" / "api.md").read_text()
-        for field in ("store_hits", "warm_seeded", "fixed_point_iterations"):
+        for field in ("store_hits", "fixed_point_iterations"):
             assert field in text, f"{field!r} missing from docs/api.md"
-
-    def test_ci_asserts_the_warm_bench(self):
-        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
-        assert "--assert-warm-savings" in ci
 
 
 class TestLintDocumented:
