@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.core.amdahl import amdahl_speedup
 from repro.core.description import WorkloadDescription
 from repro.core.machine_desc import MachineDescription
@@ -167,6 +168,34 @@ class CoSchedulePredictor:
         self.tolerance = tolerance
 
     def predict(self, jobs: Sequence[CoScheduledWorkload]) -> CoSchedulePrediction:
+        """Jointly predict every job's time on the shared machine.
+
+        Traced as one ``predictor.joint`` span with a
+        ``predictor.joint.iterations`` histogram; the untraced path pays
+        one ``obs.enabled()`` check per call.
+        """
+        if not obs.enabled():
+            return self._predict(jobs)
+        tracer = obs.tracer()
+        span = tracer.start(
+            "predictor.joint",
+            attrs={
+                "jobs": len(jobs),
+                "threads": sum(job.placement.n_threads for job in jobs),
+            },
+        )
+        try:
+            prediction = self._predict(jobs)
+            span.attrs["iterations"] = prediction.iterations
+            span.attrs["converged"] = prediction.converged
+            obs.metrics().histogram("predictor.joint.iterations").observe(
+                prediction.iterations
+            )
+            return prediction
+        finally:
+            tracer.end(span)
+
+    def _predict(self, jobs: Sequence[CoScheduledWorkload]) -> CoSchedulePrediction:
         if not jobs:
             raise PredictionError("no workloads to co-schedule")
         threads, capacities = _build_joint_threads(self.md, jobs)

@@ -99,11 +99,16 @@ def best_placement(
 
 
 def _footprint(placement: Placement) -> Tuple[int, int, int]:
-    """(threads, occupied cores, active sockets) — the resource cost."""
+    """(threads, occupied cores, active sockets) — the resource cost.
+
+    Read off the memoised canonical key (stamped by ``from_shapes``):
+    each socket's shape counts its occupied cores.
+    """
+    shapes = placement.canonical_key()
     return (
         placement.n_threads,
-        len(placement.threads_per_core()),
-        len(placement.active_sockets()),
+        sum(ones + twos for ones, twos in shapes),
+        sum(1 for ones, twos in shapes if ones + twos),
     )
 
 

@@ -72,12 +72,18 @@ class MachineTopology:
     _hw_threads: Tuple[HwThread, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        shape = (
+            f"{self.n_sockets}x{self.cores_per_socket}x{self.threads_per_core} "
+            "(sockets x cores/socket x threads/core)"
+        )
         if self.n_sockets < 1:
-            raise TopologyError("machine needs at least one socket")
+            raise TopologyError(f"machine {shape} needs at least one socket")
         if self.cores_per_socket < 1:
-            raise TopologyError("socket needs at least one core")
+            raise TopologyError(f"machine {shape} needs at least one core per socket")
         if self.threads_per_core < 1:
-            raise TopologyError("core needs at least one hardware thread")
+            raise TopologyError(
+                f"machine {shape} needs at least one hardware thread per core"
+            )
 
         n_cores = self.n_sockets * self.cores_per_socket
         cores: List[Core] = []
@@ -168,7 +174,9 @@ class MachineTopology:
     def link_between(socket_a: int, socket_b: int) -> Tuple[int, int]:
         """Canonical (sorted) key for the link between two sockets."""
         if socket_a == socket_b:
-            raise TopologyError("no interconnect link within one socket")
+            raise TopologyError(
+                f"no interconnect link within one socket (socket {socket_a})"
+            )
         return (socket_a, socket_b) if socket_a < socket_b else (socket_b, socket_a)
 
     # -- placement helpers --------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core.coscheduling import (
     CoSchedulePredictor,
     CoScheduledWorkload,
@@ -114,6 +115,45 @@ class TestInterference:
         # Both workloads interleave over socket 0 only (single active
         # socket each): node 0 sees 20 + 20 at full utilisation.
         assert joint.resource_loads[("dram", 0)] == pytest.approx(40.0, rel=1e-6)
+
+
+class TestTelemetry:
+    @pytest.fixture(autouse=True)
+    def traced(self):
+        was_enabled = obs.enabled()
+        obs.reset()
+        obs.enable()
+        yield
+        obs.reset()
+        if not was_enabled:
+            obs.disable()
+
+    def test_predict_emits_a_joint_span_and_iteration_histogram(
+        self, topo, co_predictor
+    ):
+        prediction = co_predictor.predict(
+            [
+                CoScheduledWorkload(make_workload("a"), Placement(topo, (0, 1))),
+                CoScheduledWorkload(make_workload("b"), Placement(topo, (2,))),
+            ]
+        )
+        [span] = [s for s in obs.tracer().spans() if s.name == "predictor.joint"]
+        assert span.attrs == {
+            "jobs": 2,
+            "threads": 3,
+            "iterations": prediction.iterations,
+            "converged": prediction.converged,
+        }
+        histogram = obs.metrics().histogram("predictor.joint.iterations")
+        assert histogram.count == 1
+        assert histogram.total == prediction.iterations
+
+    def test_failed_predict_still_closes_its_span(self, co_predictor):
+        with pytest.raises(PredictionError):
+            co_predictor.predict([])
+        [span] = [s for s in obs.tracer().spans() if s.name == "predictor.joint"]
+        assert obs.tracer().current_id() is None
+        assert "iterations" not in span.attrs
 
 
 class TestValidation:

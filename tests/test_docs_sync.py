@@ -68,6 +68,7 @@ class TestObservabilityDocumented:
         "predictor.predict",
         "predictor.predict_batch",
         "predictor.iteration",
+        "predictor.joint",
         "search.evaluate",
         "search.cache",
         "search.predict",
@@ -81,6 +82,7 @@ class TestObservabilityDocumented:
         "predictor.iterations",
         "predictor.residual",
         "predictor.batch.alive_rows",
+        "predictor.joint.iterations",
         "search.cache.lookup_us",
         "sim.outer_iterations",
     )
